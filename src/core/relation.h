@@ -19,7 +19,12 @@ namespace setalg::core {
 /// A finite relation with set semantics.
 ///
 /// Mutation model: Add() appends rows; the relation re-normalizes (sorts and
-/// deduplicates) lazily before any read. Not thread-safe.
+/// deduplicates) lazily before any read. Not thread-safe, and that includes
+/// const reads: while Add()/AddRows() rows are pending, size(), tuple(),
+/// flat(), Contains(), comparison and the like sort the storage in place.
+/// Copying a relation does not normalize it: the copy keeps the pending
+/// rows. A relation may be shared between threads only after Normalize();
+/// from then on, until the next Add(), every const member is a pure read.
 class Relation {
  public:
   /// An empty relation of the given arity. Arity 0 is allowed (the two

@@ -64,7 +64,9 @@ VersionedDatabase::VersionedDatabase(const core::Database& db)
   Snapshot::RelationMap relations;
   std::unordered_map<std::string, std::uint64_t> versions;
   for (const auto& name : schema_.Names()) {
-    relations.emplace(name, std::make_shared<core::Relation>(db.relation(name)));
+    auto relation = std::make_shared<core::Relation>(db.relation(name));
+    relation->Normalize();  // Published relations are pure reads; see below.
+    relations.emplace(name, std::move(relation));
     versions.emplace(name, 0);
   }
   head_ = SnapshotPtr(new Snapshot(schema_, std::move(relations),
@@ -118,13 +120,17 @@ SnapshotPtr VersionedDatabase::PublishLocked(
   // Copy-on-write: shallow-copy the published maps (shared_ptr per
   // relation), then replace only the touched entries. Readers holding
   // the old snapshot keep the old relation objects alive; nothing they
-  // can reach is ever modified.
+  // can reach is ever modified. Each write is normalized here, before
+  // publication: a relation with pending Add()s sorts itself on its first
+  // read, even a const one, so publishing it as handed over would let
+  // concurrent readers sort the same storage at once.
   Snapshot::RelationMap relations = head_->relations_;
   std::unordered_map<std::string, std::uint64_t> versions = head_->versions_;
   for (auto& [name, relation] : writes) {
     SETALG_CHECK_STREAM(schema_.HasRelation(name))
         << "unknown relation: " << name;
     SETALG_CHECK_EQ(schema_.Arity(name), relation.arity());
+    relation.Normalize();
     relations.insert_or_assign(
         name, std::make_shared<core::Relation>(std::move(relation)));
     ++versions[name];

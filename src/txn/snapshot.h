@@ -4,14 +4,17 @@
 // The concurrency contract, in one paragraph: writers serialize on the
 // head's mutex; each commit shallow-copies the head's relation map
 // (shared_ptr per relation), replaces only the touched relations with
-// freshly allocated copies, bumps their mutation counters, and publishes
-// a new `Snapshot` under the same mutex. Readers call `snapshot()` —
-// also under the mutex, a handful of instructions — and from then on
-// never synchronize with anyone: a snapshot is deeply immutable, its
-// relation pointers are frozen at commit time, and the shared_ptr keeps
-// every relation alive for as long as any reader holds the snapshot.
-// Any number of threads may therefore execute queries against the same
-// (or different) snapshots while writers keep committing.
+// freshly allocated copies, normalizes each of them (core::Relation sorts
+// and deduplicates pending Add()s on its first read, even a const one, so
+// the sort is paid here once, by the writer, and never by a reader), bumps
+// their mutation counters, and publishes a new `Snapshot` under the same
+// mutex. Readers call `snapshot()` — also under the mutex, a handful of
+// instructions — and from then on never synchronize with anyone: a
+// snapshot is deeply immutable, its relation pointers are frozen at
+// commit time, and the shared_ptr keeps every relation alive for as long
+// as any reader holds the snapshot. Any number of threads may therefore
+// execute queries against the same (or different) snapshots while
+// writers keep committing.
 //
 // Identity: the head allocates its id from the same process-wide counter
 // as core::Database (`core::NextDatabaseId`), and every snapshot reports
@@ -132,8 +135,8 @@ class VersionedDatabase {
   explicit VersionedDatabase(core::Schema schema);
 
   /// Seeds the head from an existing database (relation contents are
-  /// copied; the head gets a fresh lineage id and version counters
-  /// starting at 0).
+  /// copied and normalized; the head gets a fresh lineage id and version
+  /// counters starting at 0).
   explicit VersionedDatabase(const core::Database& db);
 
   virtual ~VersionedDatabase() = default;

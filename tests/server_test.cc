@@ -26,6 +26,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <map>
@@ -246,8 +247,22 @@ TEST(ServerTest, ConcurrencySoakReplaysBitIdentical) {
   std::vector<std::vector<Record>> records(kClients);
   std::vector<std::string> failures;
 
+  // Forty small commits can all land before any client's first query is
+  // served. So the writer holds its first commit until some client has a
+  // response, and each client waits for that commit before its second
+  // statement: whatever the scheduling, the first responder reads the
+  // initial version and then a later one.
+  std::atomic<bool> readers_started{false};
+  std::atomic<bool> first_commit{false};
+  auto fail = [&](std::string message) {
+    std::lock_guard<std::mutex> lock(log_mu);
+    failures.push_back(std::move(message));
+    readers_started = true;  // Never leave the writer waiting.
+  };
+
   std::thread writer([&] {
     util::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 17);
+    while (!readers_started) std::this_thread::yield();
     for (int c = 0; c < kCommits; ++c) {
       txn::SnapshotPtr snap;
       if (rng.Next() % 3 == 0) {
@@ -277,6 +292,7 @@ TEST(ServerTest, ConcurrencySoakReplaysBitIdentical) {
         std::lock_guard<std::mutex> lock(log_mu);
         published[snap->version()] = snap;
       }
+      first_commit = true;
       std::this_thread::yield();
     }
   });
@@ -286,8 +302,7 @@ TEST(ServerTest, ConcurrencySoakReplaysBitIdentical) {
     clients.emplace_back([&, c] {
       auto client = server::Client::Connect("127.0.0.1", fixture.port);
       if (!client.ok()) {
-        std::lock_guard<std::mutex> lock(log_mu);
-        failures.push_back("connect: " + client.error());
+        fail("connect: " + client.error());
         return;
       }
       util::Rng rng(seed + 1000 + static_cast<std::uint64_t>(c));
@@ -298,9 +313,7 @@ TEST(ServerTest, ConcurrencySoakReplaysBitIdentical) {
       auto prep = client->Roundtrip("PREPARE " + name + " " +
                                     prepared_statement);
       if (!prep.ok() || !prep->header.ok) {
-        std::lock_guard<std::mutex> lock(log_mu);
-        failures.push_back("prepare: " +
-                           (prep.ok() ? prep->header.error : prep.error()));
+        fail("prepare: " + (prep.ok() ? prep->header.error : prep.error()));
         return;
       }
       for (int q = 0; q < kStatementsPerClient; ++q) {
@@ -315,15 +328,17 @@ TEST(ServerTest, ConcurrencySoakReplaysBitIdentical) {
         }
         auto response = client->Roundtrip(request);
         if (!response.ok() || !response->header.ok) {
-          std::lock_guard<std::mutex> lock(log_mu);
-          failures.push_back(request + ": " +
-                             (response.ok() ? response->header.error
-                                            : response.error()));
+          fail(request + ": " + (response.ok() ? response->header.error
+                                               : response.error()));
           return;
         }
         records[static_cast<std::size_t>(c)].push_back(
             {statement, response->header.version, response->header.digest,
              response->header.rows});
+        if (q == 0) {
+          readers_started = true;
+          while (!first_commit) std::this_thread::yield();
+        }
       }
       client->Close();
     });
@@ -367,9 +382,7 @@ TEST(ServerTest, ConcurrencySoakReplaysBitIdentical) {
   EXPECT_EQ(replayed,
             static_cast<std::size_t>(kClients * kStatementsPerClient));
   // The writer really raced the readers: responses span multiple
-  // versions (40 commits against 192 statements makes a single-version
-  // run astronomically unlikely — it would mean every query finished
-  // before the first commit).
+  // versions (the handshake above makes that hold on every run).
   EXPECT_GT(distinct_versions_seen, 1u);
   EXPECT_EQ(fixture.server->sessions_accepted(),
             static_cast<std::size_t>(kClients));

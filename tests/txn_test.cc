@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <latch>
 #include <map>
 #include <memory>
 #include <string>
@@ -309,6 +310,39 @@ TEST(SnapshotTest, ConcurrentReadersSeeAtomicCommits) {
     head.Commit(std::move(batch));
   }
   for (auto& reader : readers) reader.join();
+}
+
+// A committed relation is published normalized, so const reads of one
+// snapshot are pure reads. The relation is large and built unsorted with
+// duplicates, and the readers start together, so a commit that published
+// the pending rows as handed over would have every reader sort the same
+// storage at once.
+TEST(SnapshotTest, ReadersOfOneSnapshotNeverWriteIt) {
+  constexpr core::Value kDistinct = 10000;
+  constexpr int kReaders = 4;
+  VersionedDatabase head(DivisionSchema());
+  Relation s(1);
+  for (core::Value v = kDistinct; v > 0; --v) s.Add({v});
+  for (core::Value v = 1; v <= kDistinct; ++v) s.Add({v});
+  head.SetRelation("S", std::move(s));
+
+  const SnapshotPtr snap = head.snapshot();
+  std::vector<std::vector<core::Value>> seen(kReaders);
+  std::latch start(kReaders);
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      seen[t] = snap->relation("S").flat();
+    });
+  }
+  for (auto& reader : readers) reader.join();
+
+  ASSERT_EQ(seen[0].size(), static_cast<std::size_t>(kDistinct));
+  for (int t = 1; t < kReaders; ++t) {
+    EXPECT_EQ(seen[t], seen[0]) << "reader " << t;
+  }
 }
 
 // ---------------------------------------------------------------------------
